@@ -7,9 +7,9 @@
 //
 // prints the same rows/series the paper reports. Absolute times differ
 // from the authors' P100 testbed (our substrate is a calibrated simulator,
-// see DESIGN.md), but the shapes — who wins, by what factor, where the
+// see doc.go), but the shapes — who wins, by what factor, where the
 // crossovers fall — are asserted in the package test suites and visible in
-// the metrics here. EXPERIMENTS.md indexes paper-vs-measured values.
+// the metrics here. CHANGES.md records measured values as they move.
 package repro
 
 import (
@@ -353,7 +353,7 @@ func BenchmarkTable3_Architectures(b *testing.B) {
 	b.ReportMetric(float64(len(arch.All())), "architectures")
 }
 
-// --- Ablation benches for the design choices called out in DESIGN.md ---
+// --- Ablation benches for the design choices called out in doc.go ---
 
 // BenchmarkAblationInversionParallel compares PipeFisher's refresh interval
 // and utilization with and without inversion parallelism on Chimera.
@@ -476,9 +476,11 @@ func BenchmarkSection5_ExtraWorkGeneralization(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationNoSplit quantifies the paper's bubble-spilling rule:
-// forbidding work items to span multiple bubbles slows the refresh or
-// strands work.
+// BenchmarkAblationNoSplit quantifies the paper's bubble-spilling rule
+// against whole-bubble placement, on the executed round: forbidding work
+// items to span multiple bubbles can lengthen the refresh or strand work,
+// while a spilled item, which runs as one op, delays the base ops it
+// straddles.
 func BenchmarkAblationNoSplit(b *testing.B) {
 	costs := costsFor(b, arch.BERTBase, 3, 32, 1)
 	for _, noSplit := range []bool{false, true} {

@@ -156,13 +156,14 @@ func main() {
 	fmt.Println()
 	fmt.Printf("GPU utilization:   %.1f%% -> %.1f%% with PipeFisher\n",
 		100*res.VanillaUtilization, 100*res.Utilization)
-	fmt.Printf("step time:         %.1f ms -> %.1f ms (+%.1f%% precondition overhead)\n",
+	fmt.Printf("step time:         %.1f ms -> %.1f ms (+%.1f%% PipeFisher overhead)\n",
 		float64(res.VanillaStepTime)/1000, float64(res.StepTime)/1000,
 		100*float64(res.StepTime-res.VanillaStepTime)/float64(res.VanillaStepTime))
 	fmt.Printf("curvature+inverse refreshed every %d step(s); per-stage: %v\n",
 		res.RefreshSteps, res.RefreshStepsPerStage)
 	if res.Unassigned > 0 {
-		fmt.Printf("WARNING: %d K-FAC work items did not fit in the simulated window\n", res.Unassigned)
+		fmt.Printf("WARNING: %d K-FAC work items found no bubble in a %d-step round; they run serialized before the round's last tail\n",
+			res.Unassigned, res.RefreshSteps)
 	}
 
 	if *csvPath != "" {

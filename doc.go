@@ -345,8 +345,12 @@
 //
 // Adaptive round length: engine.Config.RefreshSteps =
 // engine.AdaptiveRefreshSteps derives K at EnableKFAC time from measured
-// work (schedule.AdaptiveRoundLength = Assign's refresh window) instead of
-// a hand-picked flag. trace.BubbleUtilization / RenderBubbleSummary /
+// work instead of a hand-picked flag: schedule.AdaptiveRoundLength returns
+// the smallest K whose serialized executable round places every refresh
+// item in a bubble (MaxSteps when none does). schedule.Assign reports that
+// same round executed — its RefreshSteps is this K and its StepTime is
+// Predict's — so the timing analysis, the auto-tuner's predictions and the
+// engine's op list all come from one packer. trace.BubbleUtilization / RenderBubbleSummary /
 // WriteBubbleCSV quantify the result: per-device busy, refresh-filled and
 // idle fractions (per step of the round in the CSV), with the
 // refresh-filled share of the bubble budget as the headline number.

@@ -1,35 +1,21 @@
 package schedule
 
 // AdaptiveRoundLength derives the executable round length K from measured
-// work instead of a hand-picked flag: it runs Assign — the timing-analysis
-// entry point — on the configuration and returns the number of pipeline
-// steps one curvature/inversion refresh actually needs, i.e. the smallest
-// window whose bubbles hold the refresh under the paper's packing rules
-// (§3.1 reports 1-4 steps for its configurations). The engine calls this at
+// work instead of a hand-picked flag: the smallest K at which the
+// serialized Executable round places the whole curvature/inversion refresh
+// in its bubbles (§3.1 reports 1-4 steps for its configurations), or
+// MaxSteps when no round that long suffices. Assign measures the same
+// round and reports this K as its RefreshSteps. The engine calls this at
 // EnableKFAC time when Config.RefreshSteps asks for adaptive sizing, so the
 // round length tracks the measured refresh-work-to-bubble ratio of the
 // actual schedule, model shape, and replica topology.
 //
-// RefreshSteps and FrontLoadRefresh are ignored (Assign measures the window
-// rather than taking it as given); the result is clamped to [1, MaxSteps].
+// RefreshSteps, FrontLoadRefresh, Overlap and CarryDepth are ignored: the
+// search is over serialized rounds.
 func AdaptiveRoundLength(cfg Config) (int, error) {
-	cfg.RefreshSteps = 0
-	cfg.FrontLoadRefresh = false
-	cfg.Overlap = false
-	res, err := Assign(cfg)
+	cfg, _, _, err := fitRound(cfg)
 	if err != nil {
 		return 0, err
 	}
-	k := res.RefreshSteps
-	if k < 1 {
-		k = 1
-	}
-	norm, err := cfg.normalize()
-	if err != nil {
-		return 0, err
-	}
-	if k > norm.MaxSteps {
-		k = norm.MaxSteps
-	}
-	return k, nil
+	return cfg.RefreshSteps, nil
 }

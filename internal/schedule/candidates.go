@@ -140,14 +140,10 @@ func Predict(base Config, c Candidate) (Prediction, error) {
 	if err != nil {
 		return Prediction{}, err
 	}
-	k := c.RefreshSteps
-	if k < 1 {
-		k = 1
-	}
 	return Prediction{
 		Candidate:     c,
 		RoundMakespan: tl.Makespan,
-		StepTime:      (tl.Makespan + hardware.Microseconds(k) - 1) / hardware.Microseconds(k),
+		StepTime:      perStep(tl.Makespan, s.Steps),
 	}, nil
 }
 

@@ -67,14 +67,23 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := cfg.RefreshSteps
-	base, err := buildBase(cfg, k, true)
+	base, tl, items, err := packRound(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return assembleRound(cfg, base, tl, items)
+}
+
+// packRound builds and times the base schedule of one round (normalized
+// cfg) and packs the round's refresh work items into its bubbles.
+func packRound(cfg Config) (*pipeline.Schedule, *pipeline.Timeline, []*workItem, error) {
+	base, err := buildBase(cfg, cfg.RefreshSteps, true)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	tl, err := pipeline.Run(base)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	items := buildWorkQueue(cfg, base, tl)
 	if cfg.Overlap {
@@ -82,6 +91,13 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 	} else {
 		packForExec(items, tl, cfg)
 	}
+	return base, tl, items, nil
+}
+
+// assembleRound turns a packed round into the executable op list: the base
+// ops plus one op per work item, with the dependency edges and per-device
+// orders Executable documents.
+func assembleRound(cfg Config, base *pipeline.Schedule, tl *pipeline.Timeline, items []*workItem) (*pipeline.Schedule, error) {
 	assignWindowSteps(items, tl, cfg)
 
 	s := &pipeline.Schedule{
@@ -89,7 +105,7 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 		Devices:      base.Devices,
 		Stages:       base.Stages,
 		MicroBatches: base.MicroBatches,
-		Steps:        k,
+		Steps:        cfg.RefreshSteps,
 		Ops:          append([]*pipeline.Op(nil), base.Ops...),
 		Order:        make([][]int, base.Devices),
 	}
@@ -231,16 +247,27 @@ func dedup(ids []int) []int {
 	return out
 }
 
-// packForExec places the work items into the base timeline's bubbles the
-// same way Assign's packer does — the round's bubbles span all
-// RefreshSteps steps of the window — but with execution-consistent
-// readiness: an inversion is ready only once *both* factors of its layer
-// have complete curvature on every owning device (and the stage's
-// sync-curvature, when present, has run) — matching the dependency edges
-// Executable wires, so the packed per-device positions can never contradict
-// the deps.
+// packForExec places the work items of a serialized round into the base
+// timeline's bubbles — which span all RefreshSteps steps of the window —
+// under the paper's rules, with execution-consistent readiness: an
+// inversion is ready only once *both* factors of its layer have complete
+// curvature on every owning device (and the stage's sync-curvature, when
+// present, has run) — matching the dependency edges Executable wires, so
+// the packed per-device positions can never contradict the deps. Assign
+// and AdaptiveRoundLength measure rounds packed here too (see fitRound).
 func packForExec(items []*workItem, base *pipeline.Timeline, cfg Config) {
 	packOwnWindow(items, freshFree(base), cfg, nil, nil, nil)
+}
+
+// placeItem books a work item into its device's bubbles at or after its
+// readiness (whole, under Config.NoSplit) and records where it landed.
+func placeItem(free []*freeList, it *workItem, whole bool) {
+	pieces, end, ok := free[it.device].place(it.readyAt, it.duration, whole)
+	it.placed = ok
+	if ok {
+		it.placedStart = pieces[0].Start
+		it.placedEnd = end
+	}
 }
 
 // freshFree builds per-device free lists over the base timeline's bubbles.
@@ -279,16 +306,7 @@ func packOwnWindow(items []*workItem, free []*freeList, cfg Config,
 
 	curvDone := make(map[[3]int]hardware.Microseconds)      // (device, stage, factor)
 	stageCurvDone := make(map[[2]int]hardware.Microseconds) // (device, stage)
-	place := func(it *workItem) {
-		pieces, end, ok := free[it.device].place(it.readyAt, it.duration)
-		if !ok {
-			it.placed = false
-			return
-		}
-		it.placed = true
-		it.placedStart = pieces[0].Start
-		it.placedEnd = end
-	}
+	place := func(it *workItem) { placeItem(free, it, cfg.NoSplit) }
 	allCurvPlaced := func(stage int) bool {
 		for _, it := range curv {
 			if it.stage == stage && !it.placed {
@@ -514,16 +532,7 @@ func placeOverlapRound(items []*workItem, base *pipeline.Timeline, cfg Config) {
 			maxGen = it.gen
 		}
 	}
-	place := func(it *workItem) {
-		pieces, end, ok := free[it.device].place(it.readyAt, it.duration)
-		if !ok {
-			it.placed = false
-			return
-		}
-		it.placed = true
-		it.placedStart = pieces[0].Start
-		it.placedEnd = end
-	}
+	place := func(it *workItem) { placeItem(free, it, cfg.NoSplit) }
 	carried := make(map[*workItem]bool)
 	for _, it := range items {
 		if it.gen > 0 {

@@ -93,10 +93,7 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 	for d := 0; d < base.Devices; d++ {
 		out.Events[d] = append([]pipeline.Event(nil), base.Events[d]...)
 	}
-	free := make([]*freeList, base.Devices)
-	for d := 0; d < base.Devices; d++ {
-		free[d] = &freeList{gaps: base.Gaps(d, 0, base.Makespan)}
-	}
+	free := freshFree(base)
 
 	w := cfg.DataParallelWidth
 	// The second pass runs after the first pass's gradient exists: extra
@@ -109,7 +106,7 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 	unassigned := 0
 	var extraTotal hardware.Microseconds
 	place := func(dev int, kind pipeline.WorkKind, stage, m int, ready, dur hardware.Microseconds) (hardware.Microseconds, bool) {
-		pieces, end, ok := free[dev].place(ready, dur)
+		pieces, end, ok := free[dev].place(ready, dur, cfg.NoSplit)
 		if !ok {
 			unassigned++
 			return 0, false

@@ -58,11 +58,8 @@ func TestNoSplitEventsAreWhole(t *testing.T) {
 	tl := res.Timeline
 	for d := 0; d < tl.Devices; d++ {
 		for _, e := range tl.Events[d] {
-			if e.Op.Step != -1 {
-				continue // base schedule event
-			}
 			if e.Op.Kind != pipeline.Curvature && e.Op.Kind != pipeline.Inversion {
-				continue
+				continue // base schedule event
 			}
 			if !allowed[int64(e.Duration())] {
 				t.Fatalf("NoSplit produced a fragment of %d us (kind %s)", e.Duration(), e.Op.Kind)

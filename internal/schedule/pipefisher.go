@@ -1,9 +1,11 @@
 // Package schedule implements PipeFisher's automatic work assignment
-// (§3.1 of the paper): given a profiled timeline of a standard pipeline
-// schedule, it packs the K-FAC curvature and inversion work into the
-// pipeline bubbles according to the paper's dependency rules, measures how
-// many pipeline steps one curvature/inverse refresh takes, and reports the
-// resulting accelerator utilization.
+// (§3.1 of the paper): it packs the K-FAC curvature and inversion work of
+// one refresh round into the bubbles of a profiled pipeline timeline
+// according to the paper's dependency rules and emits the result as an
+// executable op list (Executable) that the timing simulator and the
+// engine's executor both run. Assign and AdaptiveRoundLength measure the
+// same form: the shortest round whose bubbles hold one refresh, its
+// executed step time, and the resulting accelerator utilization.
 //
 // The three assignment rules (§3.1):
 //
@@ -19,12 +21,14 @@
 //
 // Work whose duration exceeds a bubble spills into subsequent bubbles,
 // exactly as the paper describes ("otherwise, subsequent bubbles are
-// utilized").
+// utilized"), unless Config.NoSplit asks for whole-bubble placement. The
+// packer only chooses each item's position in its device's op order; the
+// item then runs as one op, so a spilled item delays the base ops it
+// straddles, and the executed timeline shows that cost.
 package schedule
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hardware"
 	"repro/internal/pipeline"
@@ -60,15 +64,16 @@ type Config struct {
 	// InversionCostMultiplier scales the per-factor inversion durations
 	// (default 1). Shampoo-style extra work (§5) uses this to model
 	// eigendecompositions, which cost an order of magnitude more than a
-	// Cholesky inversion of the same matrix; the packer splits such long
-	// items across multiple bubbles automatically.
+	// Cholesky inversion of the same matrix; the packer positions such long
+	// items by splitting them across bubbles, and each still runs as one op.
 	InversionCostMultiplier float64
 	// RefreshSteps is the round length K of the *executable* form: Executable
 	// lays out K consecutive pipeline steps and packs one curvature/inversion
 	// refresh into the bubbles of the whole window, the paper's multi-step
 	// refresh rounds (§3.1 reports 1-4 steps per refresh). 0 or 1 yields the
-	// degenerate one-step round. Assign ignores it: Assign *measures* how
-	// many steps a refresh needs, Executable *takes* the round length as
+	// degenerate one-step round. Assign and AdaptiveRoundLength ignore it:
+	// they search for the smallest round length whose serialized executable
+	// form holds the refresh, while Executable *takes* the round length as
 	// given.
 	RefreshSteps int
 	// FrontLoadRefresh pins every item of the refresh to the window's first
@@ -110,9 +115,11 @@ type Config struct {
 	// span (a safety net; realistic configurations need 1-10).
 	MaxSteps int
 	// NoSplit disables spilling a work item across multiple bubbles
-	// (every item must fit one bubble whole). The paper's rule —
-	// "otherwise, subsequent bubbles are utilized" — corresponds to
-	// NoSplit=false; the ablation bench quantifies what splitting buys.
+	// (every item must fit one bubble whole) in every placement: Executable
+	// and Predict, Assign and AdaptiveRoundLength, and AssignSAM's extra
+	// passes. The paper's rule — "otherwise, subsequent bubbles are
+	// utilized" — corresponds to NoSplit=false; the ablation bench
+	// quantifies what splitting buys.
 	NoSplit bool
 }
 
@@ -162,33 +169,39 @@ func (c Config) normalize() (Config, error) {
 	return c, nil
 }
 
-// Result reports the outcome of a PipeFisher assignment.
+// Result reports the outcome of a PipeFisher assignment: the executed
+// timeline of the shortest serialized refresh round whose bubbles hold one
+// refresh.
 type Result struct {
-	// Timeline is the augmented timeline: the base schedule (including
-	// per-step precondition work) plus the K-FAC events packed into its
-	// bubbles.
+	// Timeline is the executed round: the base schedule over RefreshSteps
+	// steps (including per-step precondition work) plus the K-FAC ops
+	// packed into its bubbles.
 	Timeline *pipeline.Timeline
 	// VanillaTimeline is the base schedule without any K-FAC work, for
 	// comparison (the "w/ Adam" rows of Figures 3 and 4).
 	VanillaTimeline *pipeline.Timeline
 	// RefreshSteps is the number of pipeline steps needed to refresh the
-	// curvature and inverse matrices once (per stage, the max over
-	// stages). The paper reports 1-4 for its configurations.
+	// curvature and inverse matrices once: the round length K, equal to
+	// AdaptiveRoundLength. The paper reports 1-4 for its configurations.
 	RefreshSteps int
-	// RefreshStepsPerStage breaks RefreshSteps down by stage.
+	// RefreshStepsPerStage breaks RefreshSteps down by stage: one more
+	// than the last round step any of the stage's K-FAC ops runs in.
 	RefreshStepsPerStage []int
-	// StepTime is the steady-state step time with PipeFisher (precondition
-	// included); VanillaStepTime is the base schedule's.
+	// StepTime is the round's makespan spread over its K steps, rounded up
+	// (precondition included) — the formula Predict uses; VanillaStepTime
+	// is the same quantity for the base schedule over K steps.
 	StepTime        hardware.Microseconds
 	VanillaStepTime hardware.Microseconds
-	// Utilization counts all colored work over the refresh window;
-	// VanillaUtilization is the base schedule's over its own window.
+	// Utilization counts all colored work over the round; VanillaUtilization
+	// is the base schedule's over its own K steps.
 	Utilization        float64
 	VanillaUtilization float64
-	// KFACWorkTime is the total curvature+inversion(+sync) time packed.
+	// KFACWorkTime is the total curvature+inversion(+sync) time of the
+	// round.
 	KFACWorkTime hardware.Microseconds
-	// Unassigned counts work items that did not fit within MaxSteps
-	// (0 for all realistic configurations).
+	// Unassigned counts work items that found no bubble even at MaxSteps
+	// (0 for all realistic configurations); they run serialized before the
+	// round's last tail and show in StepTime.
 	Unassigned int
 }
 
@@ -224,35 +237,28 @@ type workItem struct {
 	// 0 = the window's own statistics generation; 1 = carried from the
 	// previous window (the item spilled out of its own window's bubbles and
 	// executes in the next window's early bubbles instead). Always 0 for
-	// Assign and for serialized rounds.
+	// serialized rounds.
 	gen int
 }
 
-// Assign builds the base schedule, inserts the per-step precondition work,
-// simulates enough steps for one refresh round, and packs the curvature and
-// inversion work into the bubbles according to the paper's rules.
+// Assign measures how many pipeline steps one curvature/inversion refresh
+// needs: it finds the shortest serialized executable round whose bubbles
+// hold the whole refresh (see fitRound), runs that round through the
+// simulator, and reports the executed timeline — the same op list
+// Executable hands the engine, so every reported figure is one the
+// executor would see. RefreshSteps, FrontLoadRefresh, Overlap and
+// CarryDepth are ignored: Assign chooses the round rather than taking it.
 func Assign(cfg Config) (*Result, error) {
-	cfg, err := cfg.normalize()
+	cfg, s, unplaced, err := fitRound(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Estimate the number of steps a refresh round needs from the
-	// (curvature+inversion)/bubble ratio, then simulate a couple extra.
-	oneStep, err := buildBase(cfg, 1, false)
+	tl, err := pipeline.Run(s)
 	if err != nil {
 		return nil, err
 	}
-	oneTL, err := pipeline.Run(oneStep)
-	if err != nil {
-		return nil, err
-	}
-	ratio := estimateRatio(cfg, oneTL)
-	steps := int(ratio) + 2
-	if steps > cfg.MaxSteps {
-		steps = cfg.MaxSteps
-	}
-
-	vanillaSched, err := buildBase(cfg, steps, false)
+	k := cfg.RefreshSteps
+	vanillaSched, err := buildBase(cfg, k, false)
 	if err != nil {
 		return nil, err
 	}
@@ -260,45 +266,67 @@ func Assign(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseSched, err := buildBase(cfg, steps, true)
-	if err != nil {
-		return nil, err
-	}
-	baseTL, err := pipeline.Run(baseSched)
-	if err != nil {
-		return nil, err
-	}
-
-	items := buildWorkQueue(cfg, baseSched, baseTL)
-	packed, unassigned := pack(items, baseTL, cfg)
-
 	res := &Result{
-		Timeline:        packed,
-		VanillaTimeline: vanillaTL,
-		Unassigned:      unassigned,
+		Timeline:             tl,
+		VanillaTimeline:      vanillaTL,
+		RefreshSteps:         k,
+		RefreshStepsPerStage: make([]int, cfg.Stages),
+		StepTime:             perStep(tl.Makespan, k),
+		VanillaStepTime:      perStep(vanillaTL.Makespan, k),
+		Utilization:          tl.Utilization(),
+		VanillaUtilization:   vanillaTL.Utilization(),
+		Unassigned:           unplaced,
 	}
-	res.VanillaStepTime = steadyStepTime(vanillaTL)
-	res.StepTime = steadyStepTime(baseTL)
-	res.VanillaUtilization = vanillaTL.Utilization()
-	res.refreshFromItems(items, baseTL, cfg)
-	for _, it := range items {
-		res.KFACWorkTime += it.duration
+	for _, op := range s.Ops {
+		if !refreshKind(op.Kind) {
+			continue
+		}
+		res.KFACWorkTime += op.Duration
+		if op.Step+1 > res.RefreshStepsPerStage[op.Stage] {
+			res.RefreshStepsPerStage[op.Stage] = op.Step + 1
+		}
 	}
-	res.Utilization = packed.UtilizationOver(0, windowEnd(res, baseTL))
 	return res, nil
 }
 
-// windowEnd picks the utilization window: the end of the refresh round
-// (whole steps), so repeated rounds tile the timeline.
-func windowEnd(res *Result, tl *pipeline.Timeline) hardware.Microseconds {
-	k := res.RefreshSteps
-	if k < 1 {
-		k = 1
+// fitRound finds the round length K: the smallest K <= MaxSteps at which
+// the serialized executable round places every refresh item in a bubble.
+// It returns the normalized configuration with RefreshSteps = K, that
+// round's executable schedule, and the number of items left outside the
+// bubbles (non-zero only when even MaxSteps steps cannot hold the refresh;
+// those items run serialized before the round's last tail).
+func fitRound(cfg Config) (Config, *pipeline.Schedule, int, error) {
+	cfg.RefreshSteps = 0
+	cfg.FrontLoadRefresh = false
+	cfg.Overlap = false
+	cfg.CarryDepth = 0
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return cfg, nil, 0, err
 	}
-	if k > len(tl.StepEnd) {
-		k = len(tl.StepEnd)
+	for k := 1; ; k++ {
+		cfg.RefreshSteps = k
+		base, tl, items, err := packRound(cfg)
+		if err != nil {
+			return cfg, nil, 0, err
+		}
+		unplaced := 0
+		for _, it := range items {
+			if !it.placed {
+				unplaced++
+			}
+		}
+		if unplaced == 0 || k == cfg.MaxSteps {
+			s, err := assembleRound(cfg, base, tl, items)
+			return cfg, s, unplaced, err
+		}
 	}
-	return tl.StepEnd[k-1]
+}
+
+// perStep spreads a round's makespan over its k steps, rounding up — the
+// per-training-step cost Predict ranks candidates by.
+func perStep(makespan hardware.Microseconds, k int) hardware.Microseconds {
+	return (makespan + hardware.Microseconds(k) - 1) / hardware.Microseconds(k)
 }
 
 func buildBase(cfg Config, steps int, precondition bool) (*pipeline.Schedule, error) {
@@ -320,32 +348,6 @@ func buildBase(cfg Config, steps int, precondition bool) (*pipeline.Schedule, er
 		return pipeline.BuildChimera(bc)
 	}
 	return nil, fmt.Errorf("schedule: unknown method %q", cfg.Method)
-}
-
-// estimateRatio computes (curvature+inversion)/bubble per step: the paper's
-// key quantity predicting the refresh interval (§3.3).
-func estimateRatio(cfg Config, oneStep *pipeline.Timeline) float64 {
-	var kfacWork float64
-	perStageCurv := float64(cfg.Costs.CurvaturePerMicroBatch) * float64(cfg.MicroBatches)
-	perStageInv := float64(cfg.Costs.InversionTotal())
-	// Chimera devices hold two stages each; every replica group (the W
-	// replica streams of gpipe/1f1b, the W bidirectional pairs of chimera)
-	// computes curvature for its own micro-batches, and replicas duplicate
-	// the inversion work unless InversionParallel shards it.
-	w := cfg.DataParallelWidth
-	kfacWork = float64(cfg.Stages*w)*perStageCurv + float64(cfg.Stages)*perStageInv
-	if !cfg.InversionParallel && w > 1 {
-		kfacWork += float64(cfg.Stages*(w-1)) * perStageInv
-	}
-	bubble := float64(oneStep.TotalBubble())
-	if bubble <= 0 {
-		return float64(cfg.MaxSteps)
-	}
-	return kfacWork / bubble
-}
-
-func devicesFor(cfg Config) int {
-	return cfg.Stages * cfg.DataParallelWidth
 }
 
 // stageOwners returns the devices that hold a stage's parameters and their
@@ -428,7 +430,7 @@ func buildWorkQueue(cfg Config, sched *pipeline.Schedule, tl *pipeline.Timeline)
 					kind: pipeline.SyncCurvature, stage: stage, device: ow.device,
 					replica: ow.replica, factor: -1, micro: -1,
 					duration: cfg.Costs.SyncCurvature,
-					readyAt:  0, // after the stage's curvature; set in pack
+					readyAt:  0, // after the stage's curvature; set while packing
 				})
 			}
 		}
@@ -495,20 +497,12 @@ type freeList struct {
 	gaps []pipeline.Gap
 }
 
-// place books dur units of work at or after ready, possibly split across
-// gaps. It returns the placed pieces and the end of the last piece; ok is
-// false when the free list is exhausted first.
-func (fl *freeList) place(ready hardware.Microseconds, dur hardware.Microseconds) (pieces []pipeline.Gap, end hardware.Microseconds, ok bool) {
-	return fl.placeImpl(ready, dur, false)
-}
-
-// placeWhole books dur units into a single bubble that fits it entirely
-// (the NoSplit ablation).
-func (fl *freeList) placeWhole(ready hardware.Microseconds, dur hardware.Microseconds) (pieces []pipeline.Gap, end hardware.Microseconds, ok bool) {
-	return fl.placeImpl(ready, dur, true)
-}
-
-func (fl *freeList) placeImpl(ready hardware.Microseconds, dur hardware.Microseconds, whole bool) (pieces []pipeline.Gap, end hardware.Microseconds, ok bool) {
+// place books dur units of work at or after ready on the free list, split
+// across consecutive gaps or, when whole is set (Config.NoSplit), into the
+// first single gap that holds it entirely. It returns the placed pieces and
+// the end of the last piece; ok is false when the free list is exhausted
+// first.
+func (fl *freeList) place(ready, dur hardware.Microseconds, whole bool) (pieces []pipeline.Gap, end hardware.Microseconds, ok bool) {
 	remaining := dur
 	for i := 0; i < len(fl.gaps) && remaining > 0; i++ {
 		g := fl.gaps[i]
@@ -543,177 +537,4 @@ func (fl *freeList) placeImpl(ready hardware.Microseconds, dur hardware.Microsec
 		i += len(repl) - 1
 	}
 	return pieces, end, remaining == 0
-}
-
-// pack assigns every work item to bubbles (rule order: curvature sorted by
-// readiness, then sync-curvature, then inversions once their factor's
-// curvature is fully placed). It returns the augmented timeline and the
-// number of items that did not fit.
-func pack(items []*workItem, base *pipeline.Timeline, cfg Config) (*pipeline.Timeline, int) {
-	out := &pipeline.Timeline{
-		Name:     base.Name + "+PipeFisher",
-		Devices:  base.Devices,
-		Steps:    base.Steps,
-		Events:   make([][]pipeline.Event, base.Devices),
-		Makespan: base.Makespan,
-		StepEnd:  append([]hardware.Microseconds(nil), base.StepEnd...),
-	}
-	for d := 0; d < base.Devices; d++ {
-		out.Events[d] = append([]pipeline.Event(nil), base.Events[d]...)
-	}
-	free := make([]*freeList, base.Devices)
-	for d := 0; d < base.Devices; d++ {
-		free[d] = &freeList{gaps: base.Gaps(d, 0, base.Makespan)}
-	}
-
-	var curv, syncs, invs []*workItem
-	for _, it := range items {
-		switch it.kind {
-		case pipeline.Curvature:
-			curv = append(curv, it)
-		case pipeline.SyncCurvature:
-			syncs = append(syncs, it)
-		default:
-			invs = append(invs, it)
-		}
-	}
-	sort.SliceStable(curv, func(i, j int) bool { return curv[i].readyAt < curv[j].readyAt })
-
-	unassigned := 0
-	// curvDone[(device, stage, factor)] tracks the latest end of placed
-	// curvature pieces, which gates inversion (rule 2).
-	curvDone := make(map[[3]int]hardware.Microseconds)
-	stageCurvDone := make(map[[2]int]hardware.Microseconds) // (device, stage)
-	placeItem := func(it *workItem) bool {
-		var pieces []pipeline.Gap
-		var end hardware.Microseconds
-		var ok bool
-		if cfg.NoSplit {
-			pieces, end, ok = free[it.device].placeWhole(it.readyAt, it.duration)
-		} else {
-			pieces, end, ok = free[it.device].place(it.readyAt, it.duration)
-		}
-		if !ok {
-			unassigned++
-			return false
-		}
-		for _, p := range pieces {
-			op := &pipeline.Op{
-				Kind: it.kind, Device: it.device, Stage: it.stage, Replica: it.replica,
-				MicroBatch: it.micro, Step: -1, Duration: p.End - p.Start,
-			}
-			out.Events[it.device] = append(out.Events[it.device], pipeline.Event{Op: op, Start: p.Start, End: p.End})
-		}
-		it.placedEnd = end
-		return true
-	}
-	for _, it := range curv {
-		if !placeItem(it) {
-			continue
-		}
-		key := [3]int{it.device, it.stage, it.factor}
-		if it.placedEnd > curvDone[key] {
-			curvDone[key] = it.placedEnd
-		}
-		skey := [2]int{it.device, it.stage}
-		if it.placedEnd > stageCurvDone[skey] {
-			stageCurvDone[skey] = it.placedEnd
-		}
-	}
-	// Sync-curvature: after all curvature of the stage on the owning
-	// devices.
-	for _, it := range syncs {
-		var ready hardware.Microseconds
-		for _, ow := range stageOwners(cfg, it.stage) {
-			if t := stageCurvDone[[2]int{ow.device, it.stage}]; t > ready {
-				ready = t
-			}
-		}
-		it.readyAt = ready
-		if placeItem(it) {
-			skey := [2]int{it.device, it.stage}
-			if it.placedEnd > stageCurvDone[skey] {
-				stageCurvDone[skey] = it.placedEnd
-			}
-		}
-	}
-	// Inversions: ready when the factor's curvature is done on all owners
-	// (plus sync when present).
-	sort.SliceStable(invs, func(i, j int) bool {
-		ri := invReady(invs[i], cfg, curvDone, stageCurvDone)
-		rj := invReady(invs[j], cfg, curvDone, stageCurvDone)
-		return ri < rj
-	})
-	for _, it := range invs {
-		it.readyAt = invReady(it, cfg, curvDone, stageCurvDone)
-		placeItem(it)
-	}
-	for d := range out.Events {
-		sort.Slice(out.Events[d], func(i, j int) bool { return out.Events[d][i].Start < out.Events[d][j].Start })
-	}
-	return out, unassigned
-}
-
-func invReady(it *workItem, cfg Config, curvDone map[[3]int]hardware.Microseconds, stageCurvDone map[[2]int]hardware.Microseconds) hardware.Microseconds {
-	var ready hardware.Microseconds
-	owners := stageOwners(cfg, it.stage)
-	split := cfg.InversionParallel && len(owners) > 1
-	for _, ow := range owners {
-		var t hardware.Microseconds
-		if split {
-			// With sync-curvature, the factor is available everywhere once
-			// the stage's curvature (and sync) completed on each owner.
-			t = stageCurvDone[[2]int{ow.device, it.stage}]
-		} else if ow.device == it.device {
-			t = curvDone[[3]int{ow.device, it.stage, it.factor}]
-		}
-		if t > ready {
-			ready = t
-		}
-	}
-	return ready
-}
-
-// refreshFromItems derives the per-stage refresh interval: the number of
-// pipeline steps spanned until the stage's last K-FAC item completes.
-func (r *Result) refreshFromItems(items []*workItem, tl *pipeline.Timeline, cfg Config) {
-	r.RefreshStepsPerStage = make([]int, cfg.Stages)
-	for _, it := range items {
-		if it.placedEnd == 0 {
-			continue
-		}
-		step := stepOf(it.placedEnd, tl.StepEnd)
-		if step+1 > r.RefreshStepsPerStage[it.stage] {
-			r.RefreshStepsPerStage[it.stage] = step + 1
-		}
-	}
-	for _, s := range r.RefreshStepsPerStage {
-		if s > r.RefreshSteps {
-			r.RefreshSteps = s
-		}
-	}
-	if r.RefreshSteps == 0 {
-		r.RefreshSteps = 1
-	}
-}
-
-func stepOf(t hardware.Microseconds, stepEnd []hardware.Microseconds) int {
-	for k, end := range stepEnd {
-		if t <= end {
-			return k
-		}
-	}
-	return len(stepEnd) - 1
-}
-
-// steadyStepTime returns the duration of a steady-state step (the second
-// step when available, else the first).
-func steadyStepTime(tl *pipeline.Timeline) hardware.Microseconds {
-	if len(tl.StepEnd) >= 2 {
-		return tl.StepEnd[1] - tl.StepEnd[0]
-	}
-	if len(tl.StepEnd) == 1 {
-		return tl.StepEnd[0]
-	}
-	return tl.Makespan
 }
